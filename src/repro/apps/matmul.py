@@ -155,9 +155,9 @@ def build_amx(
             b_ref = B[y, r]
     elif layout == "vnni":
         B = hl.ImageParam(hl.BFloat(16), 3, name="Bv")
-        from ..targets.amx import vnni_pack
+        from ..targets.tile_units import AMX
 
-        b_input = vnni_pack(b).reshape(k // 2, n, 2)
+        b_input = AMX.pack_b(b).reshape(k // 2, n, 2)
         if preload_b:
             stage = hl.Func("Bvstage")
             bp, bj, bh = hl.Var("bp"), hl.Var("bj"), hl.Var("bh")
@@ -242,10 +242,10 @@ def build_int8(
         b_input = b
         b_ref = lambda: B[y, r]  # noqa: E731
     elif layout == "vnni4":
-        from ..targets.dp4a import vnni4_pack
+        from ..targets.tile_units import DP4A
 
         B = hl.ImageParam(hl.Int(8), 3, name="Bq4")
-        b_input = vnni4_pack(b).reshape(k // 4, n, 4)
+        b_input = DP4A.pack_b(b).reshape(k // 4, n, 4)
         b_ref = lambda: B[r % 4, y, r / 4]  # noqa: E731
     else:
         raise ValueError(f"unknown layout {layout!r}")

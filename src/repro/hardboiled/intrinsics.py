@@ -15,6 +15,7 @@ import numpy as np
 
 from ..ir import expr as E
 from ..runtime.interpreter import Interpreter, memory_level, register_intrinsic
+from ..targets import tile_units
 
 
 class ShuffleError(RuntimeError):
@@ -22,18 +23,9 @@ class ShuffleError(RuntimeError):
 
 
 def kway_interleave(tile: np.ndarray, k: int) -> np.ndarray:
-    """Interleave groups of ``k`` rows element-wise: (R, C) -> (R/k, k*C).
-
-    ``out[p, k*j + t] == tile[k*p + t, j]`` — for ``k = 2`` this is the
-    VNNI layout of AMX's B operand.
-    """
-    rows, cols = tile.shape
-    if rows % k != 0:
-        raise ShuffleError(f"KWayInterleave: {rows} rows not divisible by {k}")
-    out = np.empty((rows // k, cols * k), dtype=tile.dtype)
-    for t in range(k):
-        out[:, t::k] = tile[t::k, :]
-    return out
+    """The ``KWayInterleave`` layout: the tile units' VNNI interleave
+    (:func:`repro.targets.tile_units.kway_interleave`)."""
+    return tile_units.kway_interleave(tile, k, ShuffleError)
 
 
 def toeplitz_from_kernel(
@@ -71,18 +63,21 @@ def multiphase_matrix(
 
 
 def tile_expand(tile: np.ndarray, valid: int, cols: int) -> np.ndarray:
-    """Pad each row of a (rows, valid) tile with zeros up to ``cols``."""
-    rows = tile.size // valid
-    out = np.zeros((rows, cols), dtype=np.float32)
-    out[:, :valid] = np.asarray(tile, np.float32).reshape(rows, valid)
+    """Pad each row of a flat ``[..., rows*valid]`` tile with zeros up to
+    ``cols``: returns ``[..., rows, cols]``."""
+    t = np.asarray(tile, np.float32)
+    lead, rows = t.shape[:-1], t.shape[-1] // valid
+    out = np.zeros(lead + (rows, cols), dtype=np.float32)
+    out[..., :valid] = t.reshape(lead + (rows, valid))
     return out
 
 
 def tile_compact(tile: np.ndarray, cols: int, valid: int) -> np.ndarray:
-    """Drop the padding columns of a (rows, cols) tile down to ``valid``."""
-    rows = tile.size // cols
-    matrix = np.asarray(tile, np.float32).reshape(rows, cols)
-    return matrix[:, :valid]
+    """Drop the padding columns of a flat ``[..., rows*cols]`` tile down
+    to ``valid``: returns ``[..., rows, valid]``."""
+    t = np.asarray(tile, np.float32)
+    lead, rows = t.shape[:-1], t.shape[-1] // cols
+    return t.reshape(lead + (rows, cols))[..., :valid]
 
 
 @register_intrinsic("KWayInterleave")
@@ -124,16 +119,6 @@ def _convolution_shuffle(interp: Interpreter, call: E.Call, env):
         memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
     )
     return toeplitz_from_kernel(kernel, rows, cols, stride).ravel()
-
-
-@register_intrinsic("WMMA2Mem")
-def _wmma2mem(interp: Interpreter, call: E.Call, env):
-    """Fragment -> register read; identity in simulation.
-
-    Survives selection when a fused post-op (bias, ReLU, coring) consumes
-    an accumulator tile pointwise instead of via wmma.store.
-    """
-    return interp.eval_expr(call.args[0], env)
 
 
 @register_intrinsic("TileExpand")

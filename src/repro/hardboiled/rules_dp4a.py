@@ -1,6 +1,6 @@
 """Application-specific and lowering rules for int8 dot-product units.
 
-The geometry is the dp4a macro-tile (see :mod:`repro.targets.dp4a`):
+The geometry is the dp4a macro-tile (see :mod:`repro.targets.tile_units`):
 C[16,16] i32 += A[16,64] i8 . B[64,16] i8, with B consumed in the
 VNNI-4 layout (groups of four rows interleaved).  The structure mirrors
 :mod:`.rules_amx` one-for-one: application rules populate the

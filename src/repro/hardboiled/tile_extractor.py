@@ -47,7 +47,7 @@ from ..ir import (
 )
 from ..ir.visitor import IRMutator, IRVisitor
 from ..lowering.pipeline import Lowered
-from ..targets.wmma import WARP_SIZE
+from ..targets.tile_units import WARP_SIZE
 from .cost import hardboiled_cost_model
 from .encode import Encoder, contains_movement, decode_stmt, movement_wrapper
 from .rules_amx import amx_rules

@@ -13,9 +13,9 @@ source in which
   ``np.full``, a constant-stride ramp into a precomputed ``np.arange``
   offset table,
 * tensor intrinsics (``tile_matmul``, ``wmma.mma.sync``, the shuffle
-  constructors, ...) dispatch to the same functional cores the target
-  simulators use (:func:`repro.targets.amx.tdpbf16ps`,
-  :func:`repro.targets.wmma.mma_sync`, ...), and
+  constructors, ...) dispatch to one helper per tile-unit role, reading
+  the same descriptors the interpreter does
+  (:mod:`repro.targets.tile_units`), and
 * anything the emitter does not recognize falls back to the
   interpreter's handler for that node, so the compiled backend is
   never *less* capable, only faster.
@@ -35,6 +35,7 @@ fingerprint of the lowered statement.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -52,11 +53,8 @@ from ..hardboiled.intrinsics import (
     tile_expand,
     toeplitz_from_kernel,
 )
-from ..targets.amx import tdpbf16ps
 from ..targets.bfloat16 import round_to_bfloat16
-from ..targets.dp4a import dp4a_mac
-from ..targets.wmma import check_shape as wmma_check_shape
-from ..targets.wmma import mma_sync
+from ..targets.tile_units import PURE_ROLES, TILE_INTRINSICS
 from .buffer import Buffer, StackedBuffer
 from .interpreter import (
     as_vector,
@@ -163,7 +161,6 @@ def _cast_i(value, np_dtype):
 # receive (interp, call, env) and re-walk the argument expressions.  The
 # compiled backend evaluates the arguments itself (buffer-name StringImm
 # arguments become Buffer objects) and calls a value-level function.
-# The numeric cores are the *same* functions the target simulators use.
 #
 # Every function takes the kernel's arena first (None outside a plan);
 # the ones whose work is re-derivable from small immutable inputs —
@@ -171,80 +168,61 @@ def _cast_i(value, np_dtype):
 # keyed on the source *values* so changed weights can never hit stale
 # entries.  Memoized results are treated as immutable by every caller
 # (they are operands or right-hand sides, never written through).
+#
+# The tile-unit helpers and TileExpand/TileCompact are valid with or
+# without a leading batch axis: a batch-axis kernel
+# (compile_batched_stmt) passes a StackedBuffer's ``[B, size]`` data or
+# a ``[B, lanes]`` operand through the same code a scalar kernel feeds
+# 1-D values, and each batch row comes out bit-identical to the scalar
+# call (same cores, dtypes and rounding).  A stacked gather is spelled
+# ``take(idx, axis=-1)``: the values of ``data[:, idx]``, about 3x
+# faster and C-contiguous; a 1-D gather stays ``data[idx]``, which is
+# the faster spelling there (NumPy 2.4).  The shuffle constructors only
+# ever see shared operands (the batched emitter refuses per-request
+# ones).
+#
+# The tile helpers are bound to a unit of the descriptor table
+# (repro.targets.tile_units) with functools.partial: a module-level
+# function over a descriptor that pickles by name, so persisted kernels
+# reference them instead of copying them.
 
 
-def _v_tile_zero(arena, rows, cols):
-    return np.zeros(rows * cols, dtype=np.float32)
+def _tile_fill(unit, arena, rows, cols, value=None):
+    return unit.full(rows, cols, value)
 
 
-def _v_tile_load(arena, buf, base, stride, rows, cols):
+def _tile_load(unit, arena, buf, base, stride, rows, cols):
     idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[idx].astype(np.float32, copy=False)
+    data = buf.data
+    values = data[idx] if data.ndim == 1 else data.take(idx, axis=-1)
+    return values.astype(unit.acc_dtype, copy=False)
 
 
-def _v_tile_matmul(arena, c, a, b, m, n, k):
-    return tdpbf16ps(
-        np.asarray(c, np.float32).reshape(m, n),
-        np.asarray(a, np.float32).reshape(m, k),
-        np.asarray(b, np.float32).reshape(k // 2, 2 * n),
-    ).ravel()
+def _tile_mac(unit, arena, c, a, b, m, n, k):
+    return unit.mac(c, a, b, m, n, k)
 
 
-def _v_tile_store(arena, buf, base, stride, rows, cols, tile):
+def _tile_store(unit, arena, buf, base, stride, rows, cols, tile):
     idx = _tile_idx(arena, base, stride, rows, cols)
-    values = np.asarray(tile, dtype=buf.data.dtype)
-    if buf.dtype.code is TypeCode.BFLOAT:
-        values = round_to_bfloat16(values)
-    buf.data[idx] = values
-    return np.float32(0.0)
+    values = unit.store_values(tile, buf)
+    if buf.data.ndim == 1:
+        buf.data[idx] = values
+    else:
+        buf.data[:, idx] = values
+    return unit.acc_dtype.type(0)
 
 
-def _v_dp4a_zero(arena, rows, cols):
-    return np.zeros(rows * cols, dtype=np.int32)
-
-
-def _v_dp4a_load(arena, buf, base, stride, rows, cols):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[idx].astype(np.int32, copy=False)
-
-
-def _v_dp4a_matmul(arena, c, a, b, m, n, k):
-    return dp4a_mac(
-        np.asarray(c, np.int32).reshape(m, n),
-        np.asarray(a).reshape(m, k),
-        np.asarray(b).reshape(k // 4, 4 * n),
-    ).ravel()
-
-
-def _v_dp4a_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    buf.data[idx] = np.asarray(tile, dtype=buf.data.dtype)
-    return np.int32(0)
-
-
-def _v_dp4a2mem(arena, x):
+def _tile_to_mem(unit, arena, x):
     return x
 
 
-def _v_wmma_fill(arena, m, n, value):
-    return np.full(m * n, value, dtype=np.float32)
-
-
-def _v_wmma_load(arena, buf, base, stride, rows, cols):
-    return _v_tile_load(arena, buf, base, stride, rows, cols)
-
-
-def _v_wmma_mma(arena, c, a, b, m, n, k):
-    wmma_check_shape(m, n, k)
-    return mma_sync(
-        np.asarray(c, np.float32).reshape(m, n),
-        np.asarray(a, np.float32).reshape(m, k),
-        np.asarray(b, np.float32).reshape(k, n),
-    ).ravel()
-
-
-def _v_wmma_store(arena, buf, base, stride, m, n, tile):
-    return _v_tile_store(arena, buf, base, stride, m, n, tile)
+_TILE_HELPERS = {
+    "fill": _tile_fill,
+    "load": _tile_load,
+    "mma": _tile_mac,
+    "store": _tile_store,
+    "to_mem": _tile_to_mem,
+}
 
 
 def _v_kway_interleave(arena, k, rows, cols, tile):
@@ -279,19 +257,17 @@ def _v_multiphase_shuffle(arena, buf, base, rows, cols, taps, factor):
     )
 
 
-def _v_wmma2mem(arena, x):
-    return x
+def _v_expand(arena, tile, valid, cols):
+    out = tile_expand(tile, valid, cols)
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
-def _v_tile_expand(arena, tile, valid, cols):
-    return tile_expand(tile, valid, cols).ravel()
+def _v_compact(arena, tile, cols, valid):
+    out = tile_compact(tile, cols, valid)
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
-def _v_tile_compact(arena, tile, cols, valid):
-    return tile_compact(tile, cols, valid).ravel()
-
-
-# -- batch-axis helpers and intrinsic variants ---------------------------------
+# -- batch-axis expression helpers ---------------------------------------------
 #
 # A batched kernel (see compile_batched_stmt) executes a whole shape
 # bucket of B requests in one call.  Buffers marked *stacked* hold
@@ -299,10 +275,10 @@ def _v_tile_compact(arena, tile, cols, valid):
 # rest of the statement — weights, shuffle-operand construction, tile
 # index grids, loop bounds — is emitted exactly as the scalar emitter
 # would, so those values are shared across the batch *by construction*.
-# Each helper below is the batched twin of a scalar helper above and is
-# bit-identical per batch row (same cores, same dtypes, same rounding);
-# the differential parity suite in tests/test_batched.py asserts this
-# for every app.
+# The intrinsic helpers above serve both kernels; the helpers below are
+# batched twins of the scalar *expression* helpers, bit-identical per
+# batch row (the differential parity suite in tests/test_batched.py
+# asserts this for every app).
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
 # *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
@@ -360,158 +336,27 @@ def _take_b(arena, name, dtype, extents, memory_type, batch):
     return arena.take_batched(name, dtype, extents, memory_type, batch)
 
 
-def _tiles(value, rows, cols, np_dtype=None):
-    """A flat tile value — batched ``[B, rows*cols]`` or shared
-    ``[rows*cols]`` — reshaped to ``[..., rows, cols]``.
-
-    Forced C-contiguous so the accelerator cores (``np.matmul`` inside
-    the simulators) see the same layout the scalar kernel feeds them —
-    float summation order must not depend on the gather's stride trick
-    (see :func:`_vred_b`).
-    """
-    v = np.asarray(value) if np_dtype is None else np.asarray(value, np_dtype)
-    v = np.ascontiguousarray(v)
-    if v.ndim > 1:
-        return v.reshape(v.shape[0], rows, cols)
-    return v.reshape(rows, cols)
-
-
-def _bv_tile_load(arena, buf, base, stride, rows, cols):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[:, idx].astype(np.float32, copy=False)
-
-
-def _bv_tile_matmul(arena, c, a, b, m, n, k):
-    out = tdpbf16ps(
-        _tiles(c, m, n, np.float32),
-        _tiles(a, m, k, np.float32),
-        _tiles(b, k // 2, 2 * n, np.float32),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_tile_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    values = np.asarray(tile, dtype=buf.data.dtype)
-    if buf.dtype.code is TypeCode.BFLOAT:
-        values = round_to_bfloat16(values)
-    buf.data[:, idx] = values
-    return np.float32(0.0)
-
-
-def _bv_dp4a_load(arena, buf, base, stride, rows, cols):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[:, idx].astype(np.int32, copy=False)
-
-
-def _bv_dp4a_matmul(arena, c, a, b, m, n, k):
-    out = dp4a_mac(
-        _tiles(c, m, n, np.int32),
-        _tiles(a, m, k),
-        _tiles(b, k // 4, 4 * n),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_dp4a_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    buf.data[:, idx] = np.asarray(tile, dtype=buf.data.dtype)
-    return np.int32(0)
-
-
-def _bv_wmma_fill(arena, m, n, value):
-    col = np.asarray(value, dtype=np.float32).reshape(-1, 1)
-    return np.full((col.shape[0], m * n), col, dtype=np.float32)
-
-
-def _bv_wmma_load(arena, buf, base, stride, rows, cols):
-    return _bv_tile_load(arena, buf, base, stride, rows, cols)
-
-
-def _bv_wmma_mma(arena, c, a, b, m, n, k):
-    wmma_check_shape(m, n, k)
-    out = mma_sync(
-        _tiles(c, m, n, np.float32),
-        _tiles(a, m, k, np.float32),
-        _tiles(b, k, n, np.float32),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_wmma_store(arena, buf, base, stride, m, n, tile):
-    return _bv_tile_store(arena, buf, base, stride, m, n, tile)
-
-
-def _bv_tile_expand(arena, tile, valid, cols):
-    t = np.asarray(tile, np.float32)
-    batch, rows = t.shape[0], t.shape[1] // valid
-    out = np.zeros((batch, rows, cols), dtype=np.float32)
-    out[:, :, :valid] = t.reshape(batch, rows, valid)
-    return out.reshape(batch, rows * cols)
-
-
-def _bv_tile_compact(arena, tile, cols, valid):
-    t = np.asarray(tile, np.float32)
-    batch, rows = t.shape[0], t.shape[1] // cols
-    return np.ascontiguousarray(
-        t.reshape(batch, rows, cols)[:, :, :valid]
-    ).reshape(batch, rows * valid)
-
-
-#: batched twins, selected at emit time when the relevant operand or
-#: buffer is batched (see _BatchedEmitter._emit_Call)
-_BATCHED_LOADS: Dict[str, Callable] = {
-    "tile_load": _bv_tile_load,
-    "dp4a_load": _bv_dp4a_load,
-    "wmma.load.a.sync": _bv_wmma_load,
-    "wmma.load.b.sync": _bv_wmma_load,
-}
-_BATCHED_STORES: Dict[str, Callable] = {
-    "tile_store": _bv_tile_store,
-    "dp4a_store": _bv_dp4a_store,
-    "wmma.store.d.sync": _bv_wmma_store,
-}
-_BATCHED_MATMULS: Dict[str, Callable] = {
-    "tile_matmul": _bv_tile_matmul,
-    "dp4a_matmul": _bv_dp4a_matmul,
-    "wmma.mma.sync": _bv_wmma_mma,
-}
-_BATCHED_ELEMENTWISE: Dict[str, Callable] = {
-    "TileExpand": _bv_tile_expand,
-    "TileCompact": _bv_tile_compact,
-}
 #: weight-derived shuffle operands: shared across the batch by
 #: construction, so a batched source forces the looped fallback
 _SHUFFLE_CONSTRUCTORS = {
-    "KWayInterleave",
-    "ConvolutionShuffle",
-    "MultiphaseShuffle",
-}
-
-
-#: intrinsics with a value-level compiled implementation
-VALUE_INTRINSICS: Dict[str, Callable] = {
-    "tile_zero": _v_tile_zero,
-    "tile_load": _v_tile_load,
-    "tile_matmul": _v_tile_matmul,
-    "tile_store": _v_tile_store,
-    "wmma.fill.sync": _v_wmma_fill,
-    "wmma.load.a.sync": _v_wmma_load,
-    "wmma.load.b.sync": _v_wmma_load,
-    "wmma.mma.sync": _v_wmma_mma,
-    "wmma.store.d.sync": _v_wmma_store,
-    "dp4a_zero": _v_dp4a_zero,
-    "dp4a_load": _v_dp4a_load,
-    "dp4a_matmul": _v_dp4a_matmul,
-    "dp4a_store": _v_dp4a_store,
-    "DP4A2Mem": _v_dp4a2mem,
     "KWayInterleave": _v_kway_interleave,
     "ConvolutionShuffle": _v_convolution_shuffle,
     "MultiphaseShuffle": _v_multiphase_shuffle,
-    "WMMA2Mem": _v_wmma2mem,
-    "TileExpand": _v_tile_expand,
-    "TileCompact": _v_tile_compact,
 }
+
+#: intrinsics with a value-level compiled implementation
+VALUE_INTRINSICS: Dict[str, Callable] = {
+    name: partial(_TILE_HELPERS[role], unit)
+    for name, (unit, role) in TILE_INTRINSICS.items()
+}
+VALUE_INTRINSICS.update(_SHUFFLE_CONSTRUCTORS)
+VALUE_INTRINSICS.update(TileExpand=_v_expand, TileCompact=_v_compact)
+
+#: tile-unit store intrinsics: they return a shared zero whatever the
+#: batching of their operands
+_TILE_STORES = frozenset(
+    name for name, (_, role) in TILE_INTRINSICS.items() if role == "store"
+)
 
 #: unary math intrinsics emitted as direct NumPy calls
 MATH_INTRINSICS = {
@@ -527,25 +372,43 @@ MATH_INTRINSICS = {
 #: intrinsics known to be pure (loads of frozen data count as pure);
 #: everything else is assumed to mutate a buffer, which disables the
 #: zero-copy slice-view optimization inside the same statement.
-PURE_INTRINSICS = set(MATH_INTRINSICS) | {
-    "tile_zero",
-    "tile_load",
-    "tile_matmul",
-    "wmma.fill.sync",
-    "wmma.load.a.sync",
-    "wmma.load.b.sync",
-    "wmma.mma.sync",
-    "dp4a_zero",
-    "dp4a_load",
-    "dp4a_matmul",
-    "DP4A2Mem",
-    "KWayInterleave",
-    "ConvolutionShuffle",
-    "MultiphaseShuffle",
-    "WMMA2Mem",
-    "TileExpand",
-    "TileCompact",
+PURE_INTRINSICS = (
+    set(MATH_INTRINSICS)
+    | set(_SHUFFLE_CONSTRUCTORS)
+    | {"TileExpand", "TileCompact"}
+    | {
+        name
+        for name, (_, role) in TILE_INTRINSICS.items()
+        if role in PURE_ROLES
+    }
+)
+
+
+#: per intrinsic role (or name, outside the tile units), the arguments
+#: a batch-axis kernel requires to be shared across the batch — tile
+#: geometry, addressing and weights; the others may be per-request
+_SHARED_ARGS = {
+    "fill": slice(0, 2),
+    "load": slice(None),
+    "mma": slice(3, None),
+    "store": slice(0, -1),
+    "to_mem": slice(0, 0),
+    "TileExpand": slice(1, None),
+    "TileCompact": slice(1, None),
+    **{name: slice(None) for name in _SHUFFLE_CONSTRUCTORS},
 }
+
+
+def _check_geometry(unit, call: E.Call) -> None:
+    """Apply the unit's mma geometry check at emit time.
+
+    Non-constant geometry raises :class:`CodegenError`, so the statement
+    runs on the interpreter, which applies the same check per call.
+    """
+    geometry = call.args[3:6]
+    if not all(isinstance(g, E.IntImm) for g in geometry):
+        raise CodegenError(f"{call.name} with non-constant geometry")
+    unit.check_shape(*(g.value for g in geometry))
 
 
 def _expr_calls(e: E.Expr):
@@ -839,6 +702,9 @@ class _Emitter:
             return f"{math_fn}({self.emit(e.args[0])})"
         fn = VALUE_INTRINSICS.get(e.name)
         if fn is not None:
+            unit, role = TILE_INTRINSICS.get(e.name, (None, None))
+            if role == "mma":
+                _check_geometry(unit, e)
             args = ["_arena"]
             for a in e.args:
                 if isinstance(a, E.StringImm):
@@ -1129,7 +995,7 @@ def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
             else:
                 var_batched[e.name] = saved
     if isinstance(e, E.Call):
-        if e.name in _BATCHED_STORES:
+        if e.name in _TILE_STORES:
             return False
         if any(
             isinstance(a, E.StringImm) and a.value in stacked for a in e.args
@@ -1181,7 +1047,7 @@ def _batched_allocations(stmt: S.Stmt, stacked_external) -> frozenset:
 
     def scan_store_calls(e: E.Expr, vb: Dict[str, bool]) -> None:
         for call in _expr_calls(e):
-            if call.name in _BATCHED_STORES and isinstance(
+            if call.name in _TILE_STORES and isinstance(
                 call.args[0], E.StringImm
             ):
                 mark(call.args[0].value, call.args[-1], vb)
@@ -1337,6 +1203,7 @@ class _BatchedEmitter(_Emitter):
         if name not in VALUE_INTRINSICS:
             # no interpreter fallback inside batched kernels
             raise CodegenError(f"intrinsic {name!r} has no batched emission")
+        role = TILE_INTRINSICS[name][1] if name in TILE_INTRINSICS else name
         arg_b = [
             (not isinstance(a, E.StringImm)) and self.batched(a)
             for a in e.args
@@ -1345,55 +1212,19 @@ class _BatchedEmitter(_Emitter):
         buf_stacked = (
             isinstance(buf, E.StringImm) and buf.value in self.stacked
         )
-        fn = VALUE_INTRINSICS[name]
-        if name in _BATCHED_LOADS:
-            if any(arg_b[1:]):
-                raise CodegenError("batched tile addressing")
-            if buf_stacked:
-                fn = _BATCHED_LOADS[name]
-        elif name in _BATCHED_STORES:
-            if any(arg_b[1:-1]):
-                raise CodegenError("batched tile addressing")
-            if buf_stacked:
-                fn = _BATCHED_STORES[name]
-            elif arg_b[-1]:
-                raise CodegenError(f"{name} of batched tile into shared buffer")
-        elif name in _BATCHED_MATMULS:
-            if any(arg_b[3:]):
-                raise CodegenError("batched matmul geometry")
-            if any(arg_b[:3]):
-                fn = _BATCHED_MATMULS[name]
-        elif name == "wmma.fill.sync":
-            if arg_b[0] or arg_b[1]:
-                raise CodegenError("batched fill geometry")
-            if arg_b[2]:
-                fn = _bv_wmma_fill
-        elif name in _BATCHED_ELEMENTWISE:
-            if any(arg_b[1:]):
-                raise CodegenError("batched tile geometry")
-            if arg_b[0]:
-                fn = _BATCHED_ELEMENTWISE[name]
-        elif name in _SHUFFLE_CONSTRUCTORS:
-            # shared-by-construction: per-request weights cannot feed a
-            # shuffle-operand constructor in a batched kernel
-            if buf_stacked or any(arg_b):
-                raise CodegenError(
-                    f"{name} over per-request data cannot be batched"
-                )
-        elif name in ("tile_zero", "dp4a_zero"):
-            if any(arg_b):
-                raise CodegenError("batched tile geometry")
-        elif name in ("DP4A2Mem", "WMMA2Mem"):
-            pass  # identity either way
-        elif any(arg_b) or buf_stacked:
-            raise CodegenError(f"{name} cannot be batched")
-        args = ["_arena"]
-        for a in e.args:
-            if isinstance(a, E.StringImm):
-                args.append(self.buf_obj(a.value))
-            else:
-                args.append(self.emit(a))
-        return f"{self.const(fn)}({', '.join(args)})"
+        if any(arg_b[_SHARED_ARGS[role]]):
+            raise CodegenError(
+                f"{name} with per-request geometry, addressing or"
+                " weights cannot be batched"
+            )
+        if buf_stacked and role not in ("load", "store"):
+            # shuffle constructors are shared by construction
+            raise CodegenError(
+                f"{name} over per-request data cannot be batched"
+            )
+        if role == "store" and arg_b[-1] and not buf_stacked:
+            raise CodegenError(f"{name} of batched tile into shared buffer")
+        return super()._emit_Call(e)
 
     # -- statements ---------------------------------------------------------
 
@@ -1535,7 +1366,9 @@ def compile_batched_stmt(
 #: v2: kernels take an arena argument (buffer pooling + operand memos)
 #: v3: batch-axis kernels (stacked [B, size] buffers, _bv_*/_take_b
 #:     helpers, env['batch.size'])
-KERNEL_FORMAT_VERSION = 3
+#: v4: one rank-polymorphic helper per tile-unit role, injected as a
+#:     functools.partial over a descriptor of repro.targets.tile_units
+KERNEL_FORMAT_VERSION = 4
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

@@ -46,10 +46,8 @@ from .plan import (
     stride_env,
 )
 
-# importing the target simulators registers their intrinsic handlers
-from ..targets import amx as _amx  # noqa: F401
-from ..targets import dp4a as _dp4a  # noqa: F401
-from ..targets import wmma as _wmma  # noqa: F401
+# importing the shuffle intrinsics registers their interpreter handlers
+# (the tile units' handlers come with the interpreter itself)
 from ..hardboiled import intrinsics as _hb_intrinsics  # noqa: F401
 
 InputMap = Dict[Union[str, ImageParam], np.ndarray]

@@ -6,14 +6,17 @@ project's instrumentation layer: every load, store, floating-point lane
 operation, and tensor intrinsic is recorded in :class:`Counters`, which the
 roofline performance model consumes.
 
-Tensor intrinsics (``tile_matmul``, ``wmma_mma_sync``, shuffle
-constructors, ...) are dispatched through a registry that the target
-simulators populate at import time.
+Tensor intrinsics (``tile_matmul``, ``wmma.mma.sync``, shuffle
+constructors, ...) are dispatched through a registry.  The tile-unit
+intrinsics are registered below, one handler per role for every unit of
+the descriptor table (:mod:`repro.targets.tile_units`); the shuffle
+constructors register themselves in :mod:`repro.hardboiled.intrinsics`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -23,6 +26,7 @@ from ..ir import stmt as S
 from ..ir.stmt import ForKind, MemoryType
 from ..ir.types import DataType, TypeCode
 from ..targets.bfloat16 import round_to_bfloat16
+from ..targets.tile_units import TILE_INTRINSICS
 from .buffer import Buffer
 from .counters import Counters
 
@@ -115,8 +119,7 @@ def reduce_groups(value: np.ndarray, result_lanes: int) -> np.ndarray:
 def tile_index(base, stride, rows: int, cols: int) -> np.ndarray:
     """Flat indices of a rows x cols tile at ``base`` with a row stride.
 
-    The addressing scheme every tile/fragment load-store intrinsic uses
-    (AMX ``tile_load``/``tile_store``, WMMA ``wmma.load/store.*.sync``).
+    The addressing scheme of every tile unit's load and store roles.
     """
     return (
         base + np.arange(rows)[:, None] * stride + np.arange(cols)
@@ -463,3 +466,91 @@ INTRINSICS["abs"] = _unary_math(np.abs)
 INTRINSICS["floor"] = _unary_math(np.floor)
 INTRINSICS["sin"] = _unary_math(np.sin, flops_per_lane=4)
 INTRINSICS["cos"] = _unary_math(np.cos, flops_per_lane=4)
+
+
+# -- tile-unit intrinsics -------------------------------------------------------
+#
+# One handler per role; each is bound to a unit of the descriptor table,
+# which supplies the checks, dtypes and numerics (the compiled backend
+# reads the same descriptors).
+
+
+def _tile_access(unit, interp: Interpreter, call: E.Call, env):
+    """The buffer and flat indices a load/store addresses, checked
+    against the unit's tile limit and the buffer's bounds."""
+    name = call.args[0]
+    if not isinstance(name, E.StringImm):
+        raise unit.error(f"{call.name} expects a buffer name first")
+    buf = interp.buffer(name.value)
+    base, stride, rows, cols = (
+        interp.eval_int(a, env) for a in call.args[1:5]
+    )
+    unit.check_tile(rows, cols, buf.dtype.bytes_per_lane())
+    idx = tile_index(base, stride, rows, cols)
+    if np.any(idx < 0) or np.any(idx >= buf.size):
+        raise unit.error(
+            f"{call.name} out of bounds on {buf.name!r}:"
+            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
+        )
+    return buf, idx
+
+
+def _tile_fill(unit, interp: Interpreter, call: E.Call, env):
+    rows = interp.eval_int(call.args[0], env)
+    cols = interp.eval_int(call.args[1], env)
+    unit.check_tile(rows, cols, unit.acc_dtype.itemsize)
+    if len(call.args) > 2:
+        return unit.full(rows, cols, interp.eval_expr(call.args[2], env))
+    return unit.full(rows, cols)
+
+
+def _tile_load(unit, interp: Interpreter, call: E.Call, env):
+    buf, idx = _tile_access(unit, interp, call, env)
+    interp.counters.add_load(
+        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
+    )
+    return buf.gather(idx).astype(unit.acc_dtype, copy=False)
+
+
+def _tile_mac(unit, interp: Interpreter, call: E.Call, env):
+    c, a, b = (interp.eval_vector(x, env) for x in call.args[:3])
+    m, n, k = (interp.eval_int(x, env) for x in call.args[3:6])
+    unit.check_shape(m, n, k)
+    macs = getattr(interp.counters, unit.counter) + m * n * k
+    setattr(interp.counters, unit.counter, macs)
+    return unit.mac(c, a, b, m, n, k)
+
+
+def _tile_store(unit, interp: Interpreter, call: E.Call, env):
+    buf, idx = _tile_access(unit, interp, call, env)
+    tile = interp.eval_vector(call.args[5], env)
+    # the unit's store_values, not Buffer.scatter: bf16 rounding is the
+    # unit's policy, shared with the compiled backend
+    buf.store_mask[idx] = True
+    buf.data[idx] = unit.store_values(tile, buf)
+    interp.counters.add_store(
+        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
+    )
+    return unit.acc_dtype.type(0)
+
+
+def _tile_to_mem(unit, interp: Interpreter, call: E.Call, env):
+    """Accumulator -> register read; identity in simulation.
+
+    Survives selection where a fused epilogue (bias, ReLU, coring,
+    requantization) reads an accumulator tile pointwise.
+    """
+    return interp.eval_expr(call.args[0], env)
+
+
+_TILE_HANDLERS = {
+    "fill": _tile_fill,
+    "load": _tile_load,
+    "mma": _tile_mac,
+    "store": _tile_store,
+    "to_mem": _tile_to_mem,
+}
+INTRINSICS.update(
+    (name, partial(_TILE_HANDLERS[role], unit))
+    for name, (unit, role) in TILE_INTRINSICS.items()
+)

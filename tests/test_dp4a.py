@@ -34,61 +34,58 @@ from repro.lowering import lower
 from repro.perfmodel import PerfModel
 from repro.runtime import Counters
 from repro.targets.device import A100, SPR_AMX
-from repro.targets.dp4a import (
-    DP4AError,
-    DP_K,
-    DP_M,
-    DP_N,
-    check_tile_shape,
-    dp4a_mac,
-    vnni4_pack,
-    vnni4_unpack,
-)
+from repro.targets.tile_units import DP4A, DP4AError, kway_deinterleave
+
+#: the dp4a_matmul macro-tile
+[(DP_M, DP_N, DP_K)] = DP4A.shapes
 
 
 class TestSimulator:
     def test_vnni4_roundtrip(self):
         rng = np.random.default_rng(0)
         b = rng.integers(-128, 128, size=(DP_K, DP_N), dtype=np.int8)
-        packed = vnni4_pack(b)
+        packed = DP4A.pack_b(b)
         assert packed.shape == (DP_K // 4, 4 * DP_N)
-        np.testing.assert_array_equal(vnni4_unpack(packed), b)
+        np.testing.assert_array_equal(kway_deinterleave(packed, 4), b)
 
     def test_vnni4_layout(self):
         # vnni[p, 4j + t] == b[4p + t, j]
         b = np.arange(DP_K * DP_N, dtype=np.int32).reshape(DP_K, DP_N)
-        packed = vnni4_pack(b)
+        packed = DP4A.pack_b(b)
         for t in range(4):
             np.testing.assert_array_equal(packed[0, 4 * 7 + t], b[t, 7])
 
     def test_vnni4_pack_needs_divisible_rows(self):
         with pytest.raises(DP4AError):
-            vnni4_pack(np.zeros((6, 4), dtype=np.int8))
+            DP4A.pack_b(np.zeros((6, 4), dtype=np.int8))
 
     def test_dp4a_mac_matches_numpy(self):
         rng = np.random.default_rng(1)
         a = rng.integers(-128, 128, size=(DP_M, DP_K), dtype=np.int8)
         b = rng.integers(-128, 128, size=(DP_K, DP_N), dtype=np.int8)
         c = rng.integers(-1000, 1000, size=(DP_M, DP_N), dtype=np.int32)
-        got = dp4a_mac(c, a, vnni4_pack(b))
+        packed = DP4A.pack_b(b)
+        got = DP4A.mac(c.ravel(), a.ravel(), packed.ravel(), DP_M, DP_N, DP_K)
+        got = got.reshape(DP_M, DP_N)
         ref = c + a.astype(np.int32) @ b.astype(np.int32)
         np.testing.assert_array_equal(got, ref)
 
     def test_inputs_truncate_to_int8(self):
         # values outside int8 wrap mod 256, like the hardware registers
         a = np.full((DP_M, DP_K), 300, dtype=np.int32)  # wraps to 44
-        b = vnni4_pack(np.ones((DP_K, DP_N), dtype=np.int8))
+        b = DP4A.pack_b(np.ones((DP_K, DP_N), dtype=np.int8))
         c = np.zeros((DP_M, DP_N), dtype=np.int32)
-        got = dp4a_mac(c, a, b)
+        got = DP4A.mac(c.ravel(), a.ravel(), b.ravel(), DP_M, DP_N, DP_K)
+        got = got.reshape(DP_M, DP_N)
         np.testing.assert_array_equal(got, np.full((DP_M, DP_N), 44 * DP_K))
 
     def test_tile_shape_limits(self):
-        check_tile_shape(16, 64, 1)  # a full int8 tile row is 64 bytes
-        check_tile_shape(16, 16, 4)  # a full int32 accumulator row too
+        DP4A.check_tile(16, 64, 1)  # a full int8 tile row is 64 bytes
+        DP4A.check_tile(16, 16, 4)  # a full int32 accumulator row too
         with pytest.raises(DP4AError):
-            check_tile_shape(17, 16, 1)
+            DP4A.check_tile(17, 16, 1)
         with pytest.raises(DP4AError):
-            check_tile_shape(16, 65, 1)
+            DP4A.check_tile(16, 65, 1)
 
 
 def _saturate(expr):

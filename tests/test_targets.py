@@ -1,22 +1,38 @@
-"""Tests for the AMX/WMMA simulators and shuffle intrinsics."""
+"""Tests for the tile-unit descriptor table, its evaluators, and the
+shuffle intrinsics."""
+
+import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import Call, Float, IntImm, StringImm, Variable
+from repro.ir import BFloat, Call, Evaluate, Float, Int, IntImm, StringImm
+from repro.perfmodel import PerfModel
 from repro.runtime import Buffer, Interpreter
-from repro.targets.amx import (
-    AMXError,
-    check_tile_shape,
-    tdpbf16ps,
-    vnni_pack,
-    vnni_unpack,
+from repro.runtime.buffer import StackedBuffer
+from repro.runtime.codegen import (
+    PURE_INTRINSICS,
+    VALUE_INTRINSICS,
+    compile_batched_stmt,
+    compile_stmt,
 )
+from repro.runtime.counters import Counters
+from repro.runtime.interpreter import INTRINSICS
 from repro.targets.bfloat16 import is_bfloat16_exact, round_to_bfloat16
 from repro.targets.device import A100, DEVICES, RTX4070S
-from repro.targets.wmma import WMMAError, check_shape, mma_sync
+from repro.targets.tile_units import (
+    AMX,
+    DP4A,
+    PURE_ROLES,
+    TILE_UNITS,
+    WMMA,
+    AMXError,
+    WMMAError,
+    kway_deinterleave,
+)
 from repro.hardboiled.intrinsics import kway_interleave, toeplitz_from_kernel
 
 # intrinsic registration happens on executor import
@@ -55,7 +71,7 @@ class TestBFloat16:
 class TestVNNI:
     def test_pack_layout(self):
         b = np.arange(8, dtype=np.float32).reshape(4, 2)  # K=4, N=2
-        packed = vnni_pack(b)
+        packed = AMX.pack_b(b)
         assert packed.shape == (2, 4)
         # vnni[p, 2j+t] == b[2p+t, j]
         assert packed[0, 0] == b[0, 0]
@@ -65,7 +81,7 @@ class TestVNNI:
 
     def test_odd_k_rejected(self):
         with pytest.raises(AMXError):
-            vnni_pack(np.zeros((3, 2), dtype=np.float32))
+            AMX.pack_b(np.zeros((3, 2), dtype=np.float32))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -74,7 +90,9 @@ class TestVNNI:
     def test_property_roundtrip(self, k, n):
         rng = np.random.default_rng(k * 100 + n)
         b = rng.standard_normal((k, n)).astype(np.float32)
-        np.testing.assert_array_equal(vnni_unpack(vnni_pack(b)), b)
+        np.testing.assert_array_equal(
+            kway_deinterleave(AMX.pack_b(b), AMX.pack), b
+        )
 
 
 class TestTDPBF16PS:
@@ -83,21 +101,25 @@ class TestTDPBF16PS:
         a = round_to_bfloat16(rng.standard_normal((16, 32)).astype(np.float32))
         b = round_to_bfloat16(rng.standard_normal((32, 16)).astype(np.float32))
         c = rng.standard_normal((16, 16)).astype(np.float32)
-        out = tdpbf16ps(c, a, vnni_pack(b))
+        out = AMX.mac(
+            c.ravel(), a.ravel(), AMX.pack_b(b).ravel(), 16, 16, 32
+        ).reshape(16, 16)
         np.testing.assert_allclose(out, c + a @ b, rtol=1e-5)
 
     def test_rounds_inputs_to_bf16(self):
         a = np.full((16, 32), 1.00001, dtype=np.float32)  # not bf16-exact
-        b = vnni_pack(np.eye(32, 16, dtype=np.float32))
-        out = tdpbf16ps(np.zeros((16, 16), np.float32), a, b)
+        b = AMX.pack_b(np.eye(32, 16, dtype=np.float32))
+        c = np.zeros((16, 16), np.float32)
+        out = AMX.mac(c.ravel(), a.ravel(), b.ravel(), 16, 16, 32)
+        out = out.reshape(16, 16)
         np.testing.assert_array_equal(out[:, 0], np.full(16, 1.0))
 
     def test_tile_shape_limits(self):
-        check_tile_shape(16, 32, 2)  # 16 rows x 64B: ok
+        AMX.check_tile(16, 32, 2)  # 16 rows x 64B: ok
         with pytest.raises(AMXError):
-            check_tile_shape(17, 32, 2)
+            AMX.check_tile(17, 32, 2)
         with pytest.raises(AMXError):
-            check_tile_shape(16, 33, 2)
+            AMX.check_tile(16, 33, 2)
 
 
 class TestAMXIntrinsics:
@@ -111,11 +133,9 @@ class TestAMXIntrinsics:
         rng = np.random.default_rng(11)
         a = round_to_bfloat16(rng.standard_normal((16, 32)).astype(np.float32))
         b = round_to_bfloat16(rng.standard_normal((32, 16)).astype(np.float32))
-        from repro.ir import BFloat
-
         bufs = {
             "A": Buffer.from_numpy("A", a, dtype=BFloat(16)),
-            "Bv": Buffer.from_numpy("Bv", vnni_pack(b), dtype=BFloat(16)),
+            "Bv": Buffer.from_numpy("Bv", AMX.pack_b(b), dtype=BFloat(16)),
             "C": Buffer("C", Float(32), (256,)),
         }
         interp = Interpreter(bufs)
@@ -165,18 +185,19 @@ class TestAMXIntrinsics:
 
 class TestWMMA:
     def test_supported_shapes(self):
-        check_shape(16, 16, 16)
-        check_shape(32, 8, 16)
-        check_shape(8, 32, 16)
+        WMMA.check_shape(16, 16, 16)
+        WMMA.check_shape(32, 8, 16)
+        WMMA.check_shape(8, 32, 16)
         with pytest.raises(WMMAError):
-            check_shape(32, 32, 16)
+            WMMA.check_shape(32, 32, 16)
 
     def test_mma_sync_fp16_inputs(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((32, 16)).astype(np.float16)
         b = rng.standard_normal((16, 8)).astype(np.float16)
         c = np.zeros((32, 8), dtype=np.float32)
-        out = mma_sync(c, a, b)
+        out = WMMA.mac(c.ravel(), a.ravel(), b.ravel(), 32, 8, 16)
+        out = out.reshape(32, 8)
         ref = a.astype(np.float32) @ b.astype(np.float32)
         np.testing.assert_allclose(out, ref, rtol=1e-6)
 
@@ -218,7 +239,7 @@ class TestWMMA:
 class TestShuffles:
     def test_kway_interleave_is_vnni_for_k2(self):
         b = np.arange(32, dtype=np.float32).reshape(8, 4)
-        np.testing.assert_array_equal(kway_interleave(b, 2), vnni_pack(b))
+        np.testing.assert_array_equal(kway_interleave(b, 2), AMX.pack_b(b))
 
     def test_toeplitz_conv(self):
         # windows @ A_K == convolution
@@ -276,3 +297,158 @@ class TestDevices:
         assert A100.dram_bytes_per_s == 2.0e12
         assert RTX4070S.tensor_macs_per_s == 36e12
         assert abs(RTX4070S.dram_bytes_per_s - 504.2e9) < 1e6
+
+
+# -- the tile-unit descriptor table --------------------------------------------
+
+UNIT_IDS = [unit.name for unit in TILE_UNITS]
+
+
+def _operands(unit, rng, shape):
+    """Random tile lanes in the unit's value dtype; int lanes overflow
+    int8 so the truncation is exercised."""
+    if unit.acc_dtype.kind == "i":
+        return rng.integers(-300, 300, size=shape).astype(unit.acc_dtype)
+    return rng.standard_normal(shape).astype(unit.acc_dtype)
+
+
+def _fill_call(unit, rows, cols):
+    args = (IntImm(rows), IntImm(cols))
+    if unit is WMMA:
+        args += (IntImm(0),)  # the fill value
+    return call(unit.fill, *args)
+
+
+class TestTileUnitTable:
+    @pytest.mark.parametrize("unit", TILE_UNITS, ids=UNIT_IDS)
+    def test_every_role_is_wired(self, unit):
+        """Every intrinsic of every unit reaches the interpreter, the
+        compiled backend and the purity set (exactly when its role is
+        pure), and its helper pickles by reference."""
+        for name, role in unit.intrinsics():
+            assert name in INTRINSICS, name
+            assert name in VALUE_INTRINSICS, name
+            assert (name in PURE_INTRINSICS) == (role in PURE_ROLES), name
+            helper = VALUE_INTRINSICS[name]
+            restored = pickle.loads(pickle.dumps(helper))
+            assert restored.func is helper.func
+            assert restored.args[0] is unit
+
+    @pytest.mark.parametrize("unit", TILE_UNITS, ids=UNIT_IDS)
+    def test_counter_is_priced_by_the_roofline(self, unit):
+        counters = Counters()
+        setattr(counters, unit.counter, 10**9)
+        assert PerfModel(A100).estimate(counters).tensor_s > 0
+
+
+def _bad_geometry_stmt(unit):
+    """A tile program whose mma uses m8n8k8, illegal on every unit."""
+    load = call(unit.loads[0], StringImm("A"), IntImm(0), IntImm(8),
+                IntImm(8), IntImm(8))
+    mma = call(unit.mma, _fill_call(unit, 8, 8), load, load,
+               IntImm(8), IntImm(8), IntImm(8))
+    return Evaluate(call(unit.store, StringImm("C"), IntImm(0), IntImm(8),
+                         IntImm(8), IntImm(8), mma))
+
+
+@pytest.mark.parametrize("backend", ["interpret", "compile", "batched"])
+@pytest.mark.parametrize("unit", TILE_UNITS, ids=UNIT_IDS)
+def test_illegal_geometry_rejected_by_every_backend(unit, backend):
+    stmt = _bad_geometry_stmt(unit)
+    with pytest.raises(unit.error, match="m8n8k8"):
+        if backend == "interpret":
+            bufs = {
+                "A": Buffer("A", Float(32), (64,)),
+                "C": Buffer("C", Float(32), (64,)),
+            }
+            Interpreter(bufs).run(stmt)
+        elif backend == "compile":
+            compile_stmt(stmt)
+        else:
+            compile_batched_stmt(stmt, {"A", "C"})
+
+
+@pytest.mark.parametrize("unit", [AMX, DP4A], ids=["AMX", "DP4A"])
+@pytest.mark.parametrize("lanes", [512, 256])
+def test_store_checks_the_tile_limit(unit, lanes):
+    """A 32-row store exceeds the 16-row tile file whatever the tile
+    value's length."""
+    dtype = Int(32) if unit is DP4A else Float(32)
+    interp = Interpreter({"C": Buffer("C", dtype, (1024,))})
+    tile = call(unit.fill, IntImm(16), IntImm(16))
+    if lanes == 512:
+        tile = call("TileExpand", tile, IntImm(8), IntImm(16))
+        tile = call("TileExpand", tile, IntImm(16), IntImm(32))
+    store = call(unit.store, StringImm("C"), IntImm(0), IntImm(16),
+                 IntImm(32), IntImm(16), tile)
+    with pytest.raises(unit.error, match="rows 32"):
+        interp.eval_expr(store, {})
+
+
+class TestBatchAxisHelpers:
+    """Each tile helper on ``[B, ...]`` operands equals B unbatched
+    calls, bit for bit, for every mix of shared and stacked operands."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("unit", TILE_UNITS, ids=UNIT_IDS)
+    def test_mma(self, unit, batch):
+        rng = np.random.default_rng(batch)
+        m, n, k = sorted(unit.shapes)[0]
+        mac = VALUE_INTRINSICS[unit.mma]
+        lanes = (m * n, m * k, k * n)
+        stacked_ops = [_operands(unit, rng, (batch, s)) for s in lanes]
+        shared_ops = [_operands(unit, rng, (s,)) for s in lanes]
+        for stacked in itertools.product([False, True], repeat=3):
+            if not any(stacked):
+                continue
+            ops = [
+                st if s else sh
+                for s, st, sh in zip(stacked, stacked_ops, shared_ops)
+            ]
+            got = mac(None, *ops, m, n, k)
+            assert got.shape == (batch, m * n)
+            for row in range(batch):
+                one = [op[row] if s else op for s, op in zip(stacked, ops)]
+                want = mac(None, *one, m, n, k)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got[row], want)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("unit", TILE_UNITS, ids=UNIT_IDS)
+    def test_load_store_fill(self, unit, batch):
+        rng = np.random.default_rng(10 + batch)
+        dtype = Int(32) if unit.acc_dtype.kind == "i" else BFloat(16)
+        size, geometry = 64, (3, 8, 4, 5)  # base, stride, rows, cols
+        data = round_to_bfloat16(rng.standard_normal((batch, size)))
+        data = data.astype(dtype.to_numpy())
+        src = StackedBuffer("S", dtype, (size,), batch=batch, data=data)
+        rows_bufs = [
+            Buffer.from_numpy("S", data[r], dtype=dtype) for r in range(batch)
+        ]
+        load = VALUE_INTRINSICS[unit.loads[0]]
+        got = load(None, src, *geometry)
+        assert got.shape == (batch, 20) and got.flags.c_contiguous
+        for row, buf in enumerate(rows_bufs):
+            np.testing.assert_array_equal(got[row], load(None, buf, *geometry))
+
+        store = VALUE_INTRINSICS[unit.store]
+        stacked_tile = _operands(unit, rng, (batch, 20))
+        shared_tile = _operands(unit, rng, (20,))
+        for tile in (stacked_tile, shared_tile):
+            dst = StackedBuffer("D", dtype, (size,), batch=batch)
+            store(None, dst, *geometry, tile)
+            for row in range(batch):
+                one = Buffer("D", dtype, (size,))
+                store(None, one, *geometry, tile[row] if tile.ndim > 1 else tile)
+                np.testing.assert_array_equal(dst.data[row], one.data)
+
+        fill = VALUE_INTRINSICS[unit.fill]
+        if unit is WMMA:
+            values = rng.standard_normal(batch).astype(np.float32)
+            got = fill(None, 4, 5, values)
+            for row in range(batch):
+                np.testing.assert_array_equal(
+                    got[row], fill(None, 4, 5, values[row])
+                )
+        else:
+            assert not fill(None, 4, 5).any()
